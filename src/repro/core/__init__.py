@@ -25,11 +25,7 @@ from repro.core.countsketch import (
     SketchMaterializationError,
     StreamingCountSketch,
 )
-from repro.core.frequency import (
-    FrequencySketch,
-    HierarchicalFrequencySketch,
-    SlidingFrequencyWindow,
-)
+from repro.core.frequency import FrequencySketch, HierarchicalFrequencySketch
 from repro.core.gaussian import GaussianSketch
 from repro.core.srht import SRHT, BlockSRHT
 from repro.core.multisketch import MultiSketch, count_gauss, count_srht
@@ -44,7 +40,6 @@ __all__ = [
     "DENSIFY_LIMIT",
     "FrequencySketch",
     "HierarchicalFrequencySketch",
-    "SlidingFrequencyWindow",
     "GaussianSketch",
     "SRHT",
     "BlockSRHT",

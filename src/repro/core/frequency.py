@@ -17,7 +17,8 @@ substrate into a frequency-analytics engine:
     ``eps = sqrt(3 / width)`` and ``delta = exp(-depth / 6)`` (see
     :mod:`repro.theory.frequency`).  Also answers l2-norm queries from the
     per-row bucket energies and recovers the eps-phi heavy hitters by a
-    full-domain scan (the CSVec ``findHH`` idiom).
+    domain scan pruned to ids with a majority of heavy buckets (the CSVec
+    ``findHH`` idiom).
 
 :class:`HierarchicalFrequencySketch`
     A dyadic stack of :class:`FrequencySketch` levels (branching factor a
@@ -28,29 +29,39 @@ substrate into a frequency-analytics engine:
     themselves heavy -- so the work is ``O(levels * branch * heavy)``
     instead of the flat sketch's ``O(domain)`` scan.
 
-:class:`SlidingFrequencyWindow`
-    A ring of slot sketches sharing one hash seed, mirroring the
-    sliding-window engine of :mod:`repro.streaming.state`: ``advance()``
-    retires the oldest slot and the live window is answered from the
-    *merged* ring, exercising the same sketch-linearity contract the
-    subspace-embedding windows rely on.
-
-All three are mergeable (table addition, identical hashed state required),
+Both are mergeable (table addition, identical hashed state required),
 scale-able (exponential decay hook) and durable (``state_dict`` /
 ``load_state`` round-trip bit-identically), so the serving layer can
 checkpoint and migrate frequency sessions exactly like solve sessions.
+
+**Shared hash tables.**  The Section 8 hash recomputes bucket and sign from
+the id because an address-space domain cannot be enumerated.  A bounded
+domain can: once a hash identity ``(domain, width, depth, seed)`` has
+hashed as many ids as its domain holds, a process-wide LRU builds its
+``(depth, domain)`` flat-cell and int8 sign tables (the CSVec
+``buckets``/``signs`` idiom, same splitmix64 values) and every sketch of
+that identity -- sessions, restored sessions, twins -- reads them instead
+of rehashing.  The LRU's total size is capped by
+:data:`HASH_TABLE_CACHE_BYTES`; identities that would not fit keep hashing
+on the fly, so address-space levels behave exactly as before.  Tables only
+change how ``(bucket, sign)`` is found, never the values, so counters and
+answers are bit-identical either way.
 
 Every operation charges simulated kernels through the executor, with the
 same cost idiom as the streaming CountSketch: updates are atomic-class
 scatters, queries are streaming-class gathers whose traffic is proportional
 to the buckets actually examined -- which is what lets the acceptance
 benchmark *assert* that hierarchical top-k does asymptotically less work
-than a flat domain scan.
+than a flat domain scan.  The host-side table lookups and heavy-bucket
+pruning do not change the charges: flat heavy hitters are still billed as
+the full-domain point-query scan a GPU kernel would run.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+import threading
+from collections import OrderedDict
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -74,14 +85,150 @@ _ROW_SEED_SALT = 0x9E3779B9
 #: Salt separating the per-level hash streams of a hierarchical sketch.
 _LEVEL_SEED_SALT = 0x85EBCA6B
 
+#: Total bytes the shared hash-table cache may hold.  A hash identity whose
+#: tables alone exceed it is never tabulated: its sketches hash on the fly.
+HASH_TABLE_CACHE_BYTES = 64 << 20
 
-def _as_index_array(ids, domain: int) -> np.ndarray:
-    """Validate and normalise item ids to a flat int64 array in ``[0, domain)``."""
-    if isinstance(ids, np.ndarray):
-        idx = ids.astype(np.int64, copy=False).ravel()
-    else:
-        idx = np.atleast_1d(np.asarray(ids, dtype=np.int64)).ravel()
-    if idx.size and (idx.min() < 0 or idx.max() >= domain):
+#: Untabulated identities whose hashed-id credit is remembered (oldest
+#: forgotten first); bounds the bookkeeping, not the tables.
+_CREDIT_SLOTS = 1024
+
+
+def _row_seed(seed: int, row: int) -> int:
+    return seed + (row + 1) * _ROW_SEED_SALT
+
+
+def _cell_dtype(width: int, depth: int) -> np.dtype:
+    """Narrowest index type addressing every cell of a ``depth x width`` table."""
+    return np.dtype(np.int32 if width * depth <= np.iinfo(np.int32).max else np.intp)
+
+
+def _hashed_row(ids: np.ndarray, width: int, seed: int, row: int):
+    """Flat cells ``row * width + bucket`` and +-1 signs of ``ids`` in one row."""
+    buckets, positive = hashed_row_map_and_signs(ids, width, _row_seed(seed, row))
+    return buckets + row * width, np.where(positive, 1, -1)
+
+
+def _hashed_cells(ids: np.ndarray, width: int, depth: int, seed: int, cell_dtype=np.intp):
+    """Flat cells and int8 signs of ``ids`` in every row, shape ``(depth, n)``."""
+    cells = np.empty((depth, ids.shape[0]), dtype=cell_dtype)
+    signs = np.empty((depth, ids.shape[0]), dtype=np.int8)
+    for r in range(depth):
+        cells[r], signs[r] = _hashed_row(ids, width, seed, r)
+    return cells, signs
+
+
+class _HashTables(NamedTuple):
+    """Precomputed ``(depth, domain)`` cell and sign tables of one identity."""
+
+    cells: np.ndarray
+    signs: np.ndarray
+
+
+def _tables_nbytes(domain: int, width: int, depth: int) -> int:
+    return depth * domain * (_cell_dtype(width, depth).itemsize + 1)
+
+
+class _HashTableCache:
+    """Process-wide LRU of hash tables keyed by ``(domain, width, depth, seed)``.
+
+    An identity is tabulated once its sketches have hashed as many ids as
+    the domain holds (rent-or-buy: the build never costs more than the
+    hashing it replaces, and a one-off small batch never pays a full-domain
+    build).  A flat heavy-hitter scan hashes the whole domain, so it
+    tabulates on first use.  Eviction drops whole tables, least recently
+    used first, until the new one fits :data:`HASH_TABLE_CACHE_BYTES`.
+    """
+
+    def __init__(self) -> None:
+        self._tables: "OrderedDict[tuple, _HashTables]" = OrderedDict()
+        self._credit: "OrderedDict[tuple, int]" = OrderedDict()
+        self._nbytes = 0
+        self._lock = threading.Lock()
+        self.builds = 0
+
+    def lookup(self, key: tuple, hashed: int) -> Optional[_HashTables]:
+        """Tables for ``key``, or ``None`` when its sketches should hash.
+
+        ``hashed`` is the number of ids the caller is about to look up; it
+        is credited towards tabulating ``key``.
+        """
+        domain, width, depth, seed = key
+        size = _tables_nbytes(domain, width, depth)
+        if size > HASH_TABLE_CACHE_BYTES:
+            return None
+        with self._lock:
+            tables = self._tables.get(key)
+            if tables is not None:
+                self._tables.move_to_end(key)
+                return tables
+            credit = self._credit.pop(key, 0) + int(hashed)
+            if credit < domain:
+                self._credit[key] = credit
+                if len(self._credit) > _CREDIT_SLOTS:
+                    self._credit.popitem(last=False)
+                return None
+            while self._tables and self._nbytes + size > HASH_TABLE_CACHE_BYTES:
+                _, old = self._tables.popitem(last=False)
+                self._nbytes -= old.cells.nbytes + old.signs.nbytes
+            tables = _HashTables(*_hashed_cells(
+                np.arange(domain, dtype=np.int64), width, depth, seed,
+                _cell_dtype(width, depth),
+            ))
+            for table in tables:
+                table.setflags(write=False)  # shared by every sketch of the identity
+            self._tables[key] = tables
+            self._nbytes += size
+            self.builds += 1
+            return tables
+
+    def info(self) -> dict:
+        with self._lock:
+            return {
+                "entries": len(self._tables),
+                "bytes": self._nbytes,
+                "max_bytes": HASH_TABLE_CACHE_BYTES,
+                "builds": self.builds,
+            }
+
+    def clear(self) -> None:
+        with self._lock:
+            self._tables.clear()
+            self._credit.clear()
+            self._nbytes = 0
+            self.builds = 0
+
+
+_HASH_TABLES = _HashTableCache()
+
+
+def hash_table_cache_info() -> dict:
+    """Shared cache state: ``entries``, ``bytes``, ``max_bytes`` and ``builds``.
+
+    ``builds`` counts tabulations since the last :func:`clear_hash_table_cache`.
+    """
+    return _HASH_TABLES.info()
+
+
+def clear_hash_table_cache() -> None:
+    """Drop every cached hash table, all tabulation credit and the build count."""
+    _HASH_TABLES.clear()
+
+
+def as_item_ids(ids, domain: int) -> np.ndarray:
+    """Validate and normalise item ids to a flat int64 array in ``[0, domain)``.
+
+    Ids must have an integer dtype: a float id would otherwise be truncated
+    silently (``3.7`` counted as item ``3``).  An empty batch of any dtype
+    is accepted as the empty id array.
+    """
+    arr = ids if isinstance(ids, np.ndarray) else np.asarray(ids)
+    if arr.size == 0:
+        return np.zeros(0, dtype=np.int64)
+    if not np.issubdtype(arr.dtype, np.integer):
+        raise TypeError(f"item ids must be integers, got dtype {arr.dtype}")
+    idx = np.atleast_1d(arr.astype(np.int64, copy=False)).ravel()
+    if idx.min() < 0 or idx.max() >= domain:
         raise ValueError(f"item ids must lie in [0, {domain}), got range "
                          f"[{idx.min()}, {idx.max()}]")
     return idx
@@ -183,17 +330,28 @@ class FrequencySketch:
             return None
         return self._table.to_host()
 
-    def _row_seed(self, row: int) -> int:
-        return self._hash_seed + (row + 1) * _ROW_SEED_SALT
-
     def _hash_identity(self) -> tuple:
         return (self._domain, self._width, self._depth, self._hash_seed, self._dtype)
+
+    def _table_key(self) -> tuple:
+        return (self._domain, self._width, self._depth, self._hash_seed)
 
     def buckets_and_signs(self, ids: np.ndarray, row: int) -> Tuple[np.ndarray, np.ndarray]:
         """Recompute (bucket, sign) for the given ids in the given row."""
         return hashed_row_map_and_signs(
-            np.asarray(ids), self._width, self._row_seed(row)
+            np.asarray(ids), self._width, _row_seed(self._hash_seed, row)
         )
+
+    def _cells(self, idx: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Flat table cells and int8 signs of ``idx`` in every row, ``(depth, n)``.
+
+        Read from the shared hash tables when this identity is tabulated,
+        otherwise recomputed from the hash; the values are the same.
+        """
+        tables = _HASH_TABLES.lookup(self._table_key(), idx.shape[0])
+        if tables is None:
+            return _hashed_cells(idx, self._width, self._depth, self._hash_seed)
+        return np.take(tables.cells, idx, axis=1), np.take(tables.signs, idx, axis=1)
 
     # ------------------------------------------------------------------
     # updates
@@ -205,7 +363,7 @@ class FrequencySketch:
         (deletions) are legal: the CountSketch is a turnstile sketch.  An
         empty batch is a clean no-op.
         """
-        idx = _as_index_array(ids, self._domain)
+        idx = as_item_ids(ids, self._domain)
         batch = idx.shape[0]
         if batch == 0:
             return
@@ -218,9 +376,10 @@ class FrequencySketch:
         self._items_seen += batch
 
         if self.numeric:
-            for r in range(self._depth):
-                buckets, signs = self.buckets_and_signs(idx, r)
-                np.add.at(self._table.data[r], buckets, np.where(signs, w, -w))
+            # Rows own disjoint cells, so one row-major scatter adds into
+            # every cell in batch order -- the per-row loop's exact sums.
+            cells, signs = self._cells(idx)
+            np.add.at(self._table.data.reshape(-1), cells.ravel(), (signs * w).ravel())
 
         itemsize = self._dtype.itemsize
         self._ex.launch(
@@ -250,14 +409,19 @@ class FrequencySketch:
         ``1 - delta`` (:func:`repro.theory.frequency.point_query_error`).
         """
         self._require_numeric("point_query()")
-        idx = _as_index_array(ids, self._domain)
-        batch = idx.shape[0]
-        if batch == 0:
+        idx = as_item_ids(ids, self._domain)
+        if idx.shape[0] == 0:
             return np.zeros(0, dtype=self._dtype)
-        est = np.empty((self._depth, batch), dtype=self._dtype)
-        for r in range(self._depth):
-            buckets, signs = self.buckets_and_signs(idx, r)
-            est[r] = np.where(signs, 1.0, -1.0) * self._table.data[r, buckets]
+        self._charge_point_query(idx.shape[0])
+        return self._estimate(idx)
+
+    def _estimate(self, idx: np.ndarray) -> np.ndarray:
+        """Uncharged median-of-signed-buckets estimates for validated ids."""
+        cells, signs = self._cells(idx)
+        est = np.take(self._table.data.reshape(-1), cells) * signs
+        return np.median(est, axis=0).astype(self._dtype)
+
+    def _charge_point_query(self, batch: int) -> None:
         itemsize = self._dtype.itemsize
         self._ex.launch(
             KernelRequest(
@@ -270,7 +434,6 @@ class FrequencySketch:
                 phase=PHASE_FREQUENCY,
             )
         )
-        return np.median(est, axis=0).astype(self._dtype)
 
     def l2_estimate(self) -> float:
         """Estimate ``||f||_2`` from the bucket energies (CSVec idiom).
@@ -298,10 +461,19 @@ class FrequencySketch:
     def heavy_hitters(self, phi: float) -> List[Tuple[int, float]]:
         """All items with estimated ``|f_i| >= phi * ||f||_2`` (``findHH``).
 
-        This is the *flat* recovery path: it point-queries every id in the
-        domain, so it is refused (typed error) for address-space-sized
-        domains -- use :class:`HierarchicalFrequencySketch.top_k` there.
-        Returns ``(id, estimate)`` pairs sorted by descending ``|estimate|``.
+        This is the *flat* recovery path: it scans every id in the domain,
+        so it is refused (typed error) for address-space-sized domains --
+        use :class:`HierarchicalFrequencySketch.top_k` there.  Returns
+        ``(id, estimate)`` pairs sorted by descending ``|estimate|``; an
+        empty (all-zero) sketch has no heavy hitters.
+
+        The scan is pruned exactly.  ``|median| >= thr`` needs at least
+        ``ceil(depth / 2)`` rows whose signed bucket clears ``thr`` in
+        magnitude (for even depth the median is the mean of the two middle
+        values, so the outer one of them clears it too).  Only ids with that
+        many heavy buckets are median-estimated and thresholded, which
+        returns exactly the full scan's list.  The charge is still the
+        full-domain point-query scan.
         """
         if not 0.0 < phi <= 1.0:
             raise ValueError(f"phi must lie in (0, 1], got {phi}")
@@ -313,10 +485,27 @@ class FrequencySketch:
             )
         self._require_numeric("heavy_hitters()")
         threshold = phi * self.l2_estimate()
-        estimates = self.point_query(np.arange(self._domain, dtype=np.int64))
-        hot = np.flatnonzero(np.abs(estimates) >= threshold)
-        order = hot[np.argsort(-np.abs(estimates[hot]), kind="stable")]
-        return [(int(i), float(estimates[i])) for i in order]
+        if not threshold > 0.0:
+            return []
+        self._charge_point_query(self._domain)
+        ids = np.arange(self._domain, dtype=np.int64)
+        tables = _HASH_TABLES.lookup(self._table_key(), self._domain)
+        heavy = (np.abs(self._table.data) >= threshold).reshape(-1).view(np.uint8)
+        votes = np.zeros(self._domain, dtype=np.min_scalar_type(self._depth))
+        for r in range(self._depth):
+            if tables is None:
+                cells = _hashed_row(ids, self._width, self._hash_seed, r)[0]
+            else:
+                cells = tables.cells[r]
+            votes += np.take(heavy, cells)
+        candidates = np.flatnonzero(votes >= (self._depth + 1) // 2)
+        if candidates.size == 0:
+            return []
+        estimates = self._estimate(candidates)
+        keep = np.abs(estimates) >= threshold
+        hot, hot_est = candidates[keep], estimates[keep]
+        order = np.argsort(-np.abs(hot_est), kind="stable")
+        return [(int(hot[i]), float(hot_est[i])) for i in order]
 
     # ------------------------------------------------------------------
     # composition
@@ -516,7 +705,7 @@ class HierarchicalFrequencySketch:
     # ------------------------------------------------------------------
     def update(self, ids, weights=None) -> None:
         """Feed each item to every level under its level-``l`` prefix id."""
-        idx = _as_index_array(ids, self.domain)
+        idx = as_item_ids(ids, self.domain)
         if idx.size == 0:
             return
         for lvl, sketch in enumerate(self._levels):
@@ -577,13 +766,17 @@ class HierarchicalFrequencySketch:
         prefixes whose estimate clears the threshold; returns at most ``k``
         ``(id, estimate)`` pairs sorted by descending estimate.  Never scans
         the full domain, so it works on address-space universes where
-        :meth:`FrequencySketch.heavy_hitters` raises.
+        :meth:`FrequencySketch.heavy_hitters` raises.  An empty (all-zero)
+        sketch has no heavy hitters: a zero threshold would pass every
+        prefix and descend into the whole leaf domain.
         """
         if k <= 0:
             raise ValueError("k must be positive")
         if not 0.0 < phi <= 1.0:
             raise ValueError(f"phi must lie in (0, 1], got {phi}")
         threshold = phi * self._levels[0].l2_estimate()
+        if not threshold > 0.0:
+            return []
 
         top = len(self._levels) - 1
         candidates = np.arange(self._levels[top].domain, dtype=np.int64)
@@ -636,86 +829,3 @@ class HierarchicalFrequencySketch:
             f"HierarchicalFrequencySketch(domain={self.domain}, "
             f"branch={self._branch}, levels={len(self._levels)})"
         )
-
-
-class SlidingFrequencyWindow:
-    """Ring of slot sketches answering queries over the last ``slots`` slots.
-
-    Mirrors the sliding-window engine of :mod:`repro.streaming.state`: the
-    stream is chopped into slots (one sub-sketch each), :meth:`advance`
-    retires the oldest slot, and queries are answered from the *merge* of
-    the live ring -- which is exact because all slots share one hashed
-    identity.  The merged view is cached and invalidated on writes.
-    """
-
-    def __init__(
-        self,
-        domain: int,
-        width: int,
-        depth: int = 5,
-        *,
-        slots: int = 4,
-        executor: Optional[GPUExecutor] = None,
-        seed: Optional[int] = None,
-        dtype=np.float64,
-    ) -> None:
-        if slots <= 0:
-            raise ValueError("slots must be positive")
-        if executor is None:
-            executor = GPUExecutor(H100_SXM5, numeric=True, seed=seed, track_memory=False)
-        self._ex = executor
-        self._params = (int(domain), int(width), int(depth))
-        self._seed = 0 if seed is None else int(seed)
-        self._dtype = np.dtype(dtype)
-        self._ring: List[FrequencySketch] = [self._new_slot() for _ in range(slots)]
-        self._head = 0
-        self._advances = 0
-        self._merged: Optional[FrequencySketch] = None
-
-    def _new_slot(self) -> FrequencySketch:
-        d, w, r = self._params
-        return FrequencySketch(
-            d, w, r, executor=self._ex, seed=self._seed, dtype=self._dtype
-        )
-
-    @property
-    def slots(self) -> int:
-        return len(self._ring)
-
-    @property
-    def advances(self) -> int:
-        """Number of slot retirements so far."""
-        return self._advances
-
-    def update(self, ids, weights=None) -> None:
-        """Feed a batch into the current (head) slot."""
-        self._ring[self._head].update(ids, weights)
-        self._merged = None
-
-    def advance(self) -> None:
-        """Retire the oldest slot and open a fresh head slot."""
-        self._head = (self._head + 1) % len(self._ring)
-        self._ring[self._head] = self._new_slot()
-        self._advances += 1
-        self._merged = None
-
-    def merged(self) -> FrequencySketch:
-        """The merge of all live slots (cached until the next write)."""
-        if self._merged is None:
-            view = self._new_slot()
-            for slot in self._ring:
-                view.merge_from(slot)
-            self._merged = view
-        return self._merged
-
-    def point_query(self, ids) -> np.ndarray:
-        """Windowed point estimates (over the live ring only)."""
-        return self.merged().point_query(ids)
-
-    def l2_estimate(self) -> float:
-        """Windowed l2-norm estimate."""
-        return self.merged().l2_estimate()
-
-    def heavy_hitters(self, phi: float) -> List[Tuple[int, float]]:
-        """Windowed heavy hitters (flat scan; domain must be enumerable)."""
-        return self.merged().heavy_hitters(phi)

@@ -37,7 +37,7 @@ from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.core.frequency import FrequencySketch, HierarchicalFrequencySketch
+from repro.core.frequency import FrequencySketch, HierarchicalFrequencySketch, as_item_ids
 from repro.durability.codec import (
     DurabilityError,
     SchemaError,
@@ -218,18 +218,22 @@ class FrequencySessionManager:
         ``root`` is an optional trace root (the runtime passes the one it
         opened at admission); without one a standalone ``frequency_ingest``
         trace is started here.  With durability, the batch is framed into
-        the session's WAL before it is folded.
+        the session's WAL before it is folded; it is validated first
+        (integer ids in the domain, one weight per id), so a batch the
+        sketch would refuse never reaches the WAL.
         """
         session = self._get(session_id)
         server = self._server
         tracer = server.tracer
         own_root = root is None and tracer.enabled
-        ids_arr = np.atleast_1d(np.asarray(ids, dtype=np.int64)).ravel()
+        ids_arr = as_item_ids(ids, session.engine.domain)
         w_arr = (
             None
             if weights is None
             else np.asarray(weights, dtype=np.float64).ravel()
         )
+        if w_arr is not None and ids_arr.size and w_arr.shape != ids_arr.shape:
+            raise ValueError(f"expected {ids_arr.size} weights, got {w_arr.size}")
         durability = self._durability
         if durability is not None and ids_arr.size:
             payload = encode_record(
